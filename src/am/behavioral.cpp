@@ -32,6 +32,15 @@ BehavioralAm::BehavioralAm(const CalibrationResult& cal, int stages,
   if (stages < 1) throw std::invalid_argument("BehavioralAm: stages must be >= 1");
   if (bank_rows < 1 || bank_stages < 1)
     throw std::invalid_argument("BehavioralAm: bank geometry must be >= 1");
+  const auto counts = static_cast<std::size_t>(stages) + 1;
+  code_.reserve(counts);
+  delay_.reserve(counts);
+  energy_.reserve(counts);
+  for (int m = 0; m <= stages; ++m) {
+    delay_.push_back(chain_delay(m));
+    code_.push_back(tdc_.convert(delay_.back()));
+    energy_.push_back(chain_energy(m));
+  }
 }
 
 int BehavioralAm::store(std::span<const int> digits) {
@@ -57,14 +66,13 @@ BehavioralSearch BehavioralAm::search(std::span<const int> query) const {
   std::vector<std::int32_t> mismatches(rows);
   core::kernels::mismatch_count_batch(matrix_, packed, mismatches);
   out.distances.reserve(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const int mis = mismatches[r];
+  for (const std::int32_t mis : mismatches) {
     // The physical chain reports the TDC-digitised delay; at nominal
     // calibration this equals the true mismatch count.
-    const double delay = cal_.predict_delay(stages_, mis);
-    out.distances.push_back(tdc_.convert(delay));
-    out.latency = std::max(out.latency, delay);
-    out.energy += cal_.predict_energy(stages_, mis);
+    const auto m = static_cast<std::size_t>(mis);
+    out.distances.push_back(code_[m]);
+    out.latency = std::max(out.latency, delay_[m]);
+    out.energy += energy_[m];
   }
   if (!out.distances.empty()) {
     const auto it = std::min_element(out.distances.begin(), out.distances.end());
@@ -86,33 +94,22 @@ BehavioralTopK BehavioralAm::search_topk_packed(
   if (k < 1)
     throw std::invalid_argument("BehavioralAm::search_topk: k must be >= 1");
   const auto rows = static_cast<std::size_t>(matrix_.rows());
-  std::vector<std::int32_t> mismatches(rows);
+  std::vector<std::int32_t> codes(rows);
   // One row-blocked kernel batch call over the packed store (validates the
-  // packed word count); the calibrated model maps counts to delay/energy.
-  core::kernels::mismatch_count_batch(matrix_, packed, mismatches);
-  BehavioralTopK out;
-  out.entries.reserve(rows);
-  long sum = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const int mis = mismatches[r];
-    const double delay = cal_.predict_delay(stages_, mis);
-    const int dist = tdc_.convert(delay);
-    out.entries.push_back({static_cast<int>(r), static_cast<double>(dist)});
-    sum += dist;
-    out.latency = std::max(out.latency, delay);
-    out.energy += cal_.predict_energy(stages_, mis);
+  // packed word count); each count then maps to its chain's TDC code in
+  // place, and its delay/energy through the per-count tables.
+  core::kernels::mismatch_count_batch(matrix_, packed, codes);
+  double latency = 0.0;
+  double energy = 0.0;
+  for (std::int32_t& code : codes) {
+    const auto m = static_cast<std::size_t>(code);
+    latency = std::max(latency, delay_[m]);
+    energy += energy_[m];
+    code = code_[m];
   }
-  if (!out.entries.empty()) {
-    out.mean_score =
-        static_cast<double>(sum) / static_cast<double>(out.entries.size());
-  }
-  const auto keep = std::min<std::size_t>(static_cast<std::size_t>(k),
-                                          out.entries.size());
-  std::partial_sort(out.entries.begin(),
-                    out.entries.begin() + static_cast<std::ptrdiff_t>(keep),
-                    out.entries.end(),
-                    core::ScoreComparator{core::ScoreOrder::kAscending});
-  out.entries.resize(keep);
+  auto out = core::select_topk_counting(codes, stages_, k);
+  out.latency = latency;
+  out.energy = energy;
   return out;
 }
 

@@ -20,6 +20,7 @@
 // GPU speedup at high dimensionality in the paper.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -78,8 +79,13 @@ class BehavioralAm final : public core::SimilarityBackend {
                              int k) const override;
 
   // Packed-query fast path (core::SimilarityBackend contract): the mismatch
-  // counts come from one kernel-layer batch call over the packed store; the
-  // calibrated delay/energy/TDC model is applied per row on top.
+  // counts come from one kernel-layer batch call over the packed store.  The
+  // calibrated model depends on a row only through its mismatch count, so
+  // each row is one lookup in the per-count tables built at construction
+  // (TDC code, delay, energy); the codes then go through the counting
+  // select.  energy sums the rows' energies in row order and latency is the
+  // slowest occurring chain, both bit-identical to evaluating the model per
+  // row.
   BehavioralTopK search_topk_packed(std::span<const std::uint32_t> packed,
                                     int k) const override;
 
@@ -112,6 +118,10 @@ class BehavioralAm final : public core::SimilarityBackend {
   int bank_stages_;
   core::DigitMatrix matrix_;
   TimeDigitalConverter tdc_;
+  // Indexed by mismatch count in [0, stages]: the model evaluated once.
+  std::vector<std::int32_t> code_;  // tdc_.convert(chain_delay(m))
+  std::vector<double> delay_;       // chain_delay(m)
+  std::vector<double> energy_;      // chain_energy(m)
 };
 
 // Fixed-hardware system model: an array of `rows x stages` cells operated at

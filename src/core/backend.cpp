@@ -56,72 +56,97 @@ std::int64_t packed_norm_sq(std::span<const std::uint32_t> words, int bits,
 
 namespace {
 
-// Sorts the best `k` hits to the front in the metric's deterministic
-// (score, row) order and drops the rest.
-void keep_topk(BackendTopK& out, int k, DigitMetric metric) {
-  const auto keep = std::min<std::size_t>(static_cast<std::size_t>(k),
-                                          out.entries.size());
-  std::partial_sort(out.entries.begin(),
-                    out.entries.begin() + static_cast<std::ptrdiff_t>(keep),
-                    out.entries.end(), ScoreComparator{metric_order(metric)});
-  out.entries.resize(keep);
+// The counting select's range error, kept out of its hot loop.
+[[noreturn, gnu::cold]] void throw_score_outside(std::int32_t score,
+                                                 int max_score) {
+  throw std::invalid_argument("select_topk_counting: score " +
+                              std::to_string(score) + " outside [0, " +
+                              std::to_string(max_score) + "]");
 }
 
-// One query's scored column -> BackendTopK.  These finalizers are the ONLY
-// place scan scores become (entries, mean_score), so the single-query and
-// tiled paths cannot drift.
-
-BackendTopK topk_from_distances(std::span<const std::int32_t> dist, int k,
-                                DigitMetric metric) {
-  BackendTopK out;
-  const int rows = static_cast<int>(dist.size());
-  out.entries.reserve(dist.size());
-  long isum = 0;
-  for (int r = 0; r < rows; ++r) {
-    const int d = dist[static_cast<std::size_t>(r)];
-    out.entries.push_back({r, static_cast<double>(d)});
-    isum += d;
-  }
-  if (rows > 0)
-    out.mean_score = static_cast<double>(isum) / static_cast<double>(rows);
-  keep_topk(out, k, metric);
-  return out;
+// The largest score `metric` can give a row of `matrix`: the counting
+// select's bin bound for the mismatch family.
+int max_distance(const DigitMatrix& matrix, DigitMetric metric) {
+  return metric == DigitMetric::kMismatchCount
+             ? matrix.cols()
+             : matrix.cols() * (matrix.levels() - 1);
 }
 
-BackendTopK topk_from_dots(std::span<const std::int64_t> dots, int k) {
-  BackendTopK out;
-  const int rows = static_cast<int>(dots.size());
-  out.entries.reserve(dots.size());
-  double sum = 0.0;
-  for (int r = 0; r < rows; ++r) {
-    const auto score = static_cast<double>(dots[static_cast<std::size_t>(r)]);
-    out.entries.push_back({r, score});
-    sum += score;
-  }
-  if (rows > 0) out.mean_score = sum / static_cast<double>(rows);
-  keep_topk(out, k, DigitMetric::kDot);
-  return out;
+BackendTopK select_topk_dots(std::span<const std::int64_t> dots, int k) {
+  return select_topk_heap(static_cast<int>(dots.size()), k,
+                          ScoreOrder::kDescending, [&](int r) {
+                            return static_cast<double>(
+                                dots[static_cast<std::size_t>(r)]);
+                          });
 }
 
-BackendTopK topk_from_cosine(std::span<const std::int64_t> dots,
-                             std::span<const std::int64_t> row_sq,
-                             std::int64_t query_sq, int k) {
-  BackendTopK out;
-  const int rows = static_cast<int>(dots.size());
-  out.entries.reserve(dots.size());
-  double sum = 0.0;
-  for (int r = 0; r < rows; ++r) {
-    const auto i = static_cast<std::size_t>(r);
-    const double score = cosine_score(dots[i], row_sq[i], query_sq);
-    out.entries.push_back({r, score});
-    sum += score;
-  }
-  if (rows > 0) out.mean_score = sum / static_cast<double>(rows);
-  keep_topk(out, k, DigitMetric::kCosine);
-  return out;
+std::vector<std::int64_t> row_norms_sq(const DigitMatrix& matrix) {
+  std::vector<std::int64_t> row_sq(static_cast<std::size_t>(matrix.rows()));
+  for (int r = 0; r < matrix.rows(); ++r)
+    row_sq[static_cast<std::size_t>(r)] = packed_norm_sq(
+        matrix.row_words(r), matrix.bits_per_digit(), matrix.tail_mask());
+  return row_sq;
 }
 
 }  // namespace
+
+BackendTopK select_topk_counting(std::span<const std::int32_t> scores,
+                                 int max_score, int k) {
+  if (k < 1)
+    throw std::invalid_argument("select_topk_counting: k must be >= 1");
+  if (max_score < 0)
+    throw std::invalid_argument("select_topk_counting: max_score must be >= 0");
+  BackendTopK out;
+  const std::size_t rows = scores.size();
+  if (rows == 0) return out;
+  // Pass 1: count every score into its bin and sum them exactly.
+  const auto top = static_cast<std::uint32_t>(max_score);
+  std::vector<std::uint32_t> bins(static_cast<std::size_t>(max_score) + 1);
+  std::int64_t sum = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto s = static_cast<std::uint32_t>(scores[r]);
+    if (s > top) throw_score_outside(scores[r], max_score);
+    ++bins[s];
+    sum += s;
+  }
+  out.mean_score = static_cast<double>(sum) / static_cast<double>(rows);
+  // Threshold t: the smallest score whose cumulative count reaches keep.
+  // Each bin up to t becomes the output slot of its score's first row.
+  const auto keep = static_cast<std::uint32_t>(
+      std::min(static_cast<std::size_t>(k), rows));
+  std::uint32_t below = 0;  // rows scoring < t
+  std::int32_t t = 0;
+  for (;; ++t) {
+    const std::uint32_t count = bins[static_cast<std::size_t>(t)];
+    bins[static_cast<std::size_t>(t)] = below;
+    if (below + count >= keep) break;
+    below += count;
+  }
+  // Pass 2: rows below t fill their bins exactly; rows at t fill
+  // [below, keep) in index order and the rest of them are dropped.
+  out.entries.resize(keep);
+  std::uint32_t left = keep;
+  for (std::size_t r = 0; left > 0; ++r) {
+    const std::int32_t s = scores[r];
+    if (s > t) continue;
+    auto& slot = bins[static_cast<std::size_t>(s)];
+    if (slot == keep) continue;  // a row at t past the last free slot
+    out.entries[slot++] = {static_cast<int>(r), static_cast<double>(s)};
+    --left;
+  }
+  return out;
+}
+
+BackendTopK select_topk_cosine(std::span<const std::int64_t> dots,
+                               std::span<const std::int64_t> row_sq,
+                               std::int64_t query_sq, int k) {
+  return select_topk_heap(
+      static_cast<int>(dots.size()), k, ScoreOrder::kDescending,
+      [&](int r) {
+        const auto i = static_cast<std::size_t>(r);
+        return cosine_score(dots[i], row_sq[i], query_sq);
+      });
+}
 
 BackendTopK exhaustive_topk_packed(const DigitMatrix& matrix,
                                    std::span<const std::uint32_t> packed,
@@ -136,19 +161,15 @@ BackendTopK exhaustive_topk_packed(const DigitMatrix& matrix,
     } else {
       kernels::l1_distance_batch(matrix, packed, dist);
     }
-    return topk_from_distances(dist, k, metric);
+    return select_topk_counting(dist, max_distance(matrix, metric), k);
   }
   std::vector<std::int64_t> dots(static_cast<std::size_t>(rows));
   kernels::dot_product_batch(matrix, packed, dots);
-  if (metric == DigitMetric::kDot) return topk_from_dots(dots, k);
+  if (metric == DigitMetric::kDot) return select_topk_dots(dots, k);
   // kCosine
   const std::int64_t query_sq =
       packed_norm_sq(packed, matrix.bits_per_digit(), matrix.tail_mask());
-  std::vector<std::int64_t> row_sq(static_cast<std::size_t>(rows));
-  for (int r = 0; r < rows; ++r)
-    row_sq[static_cast<std::size_t>(r)] = packed_norm_sq(
-        matrix.row_words(r), matrix.bits_per_digit(), matrix.tail_mask());
-  return topk_from_cosine(dots, row_sq, query_sq, k);
+  return select_topk_cosine(dots, row_norms_sq(matrix), query_sq, k);
 }
 
 std::vector<BackendTopK> exhaustive_topk_packed_batch(
@@ -169,38 +190,34 @@ std::vector<BackendTopK> exhaustive_topk_packed_batch(
       kernels::l1_distance_tile(matrix, queries, first, count, dist,
                                 scan.row_block);
     }
+    const int max_score = max_distance(matrix, metric);
     for (int q = 0; q < count; ++q)
-      out.push_back(topk_from_distances(
+      out.push_back(select_topk_counting(
           std::span<const std::int32_t>(dist).subspan(
               static_cast<std::size_t>(q) * rows, rows),
-          k, metric));
+          max_score, k));
     return out;
   }
   std::vector<std::int64_t> dots(static_cast<std::size_t>(count) * rows);
   kernels::dot_product_tile(matrix, queries, first, count, dots,
                             scan.row_block);
+  const auto column = [&](int q) {
+    return std::span<const std::int64_t>(dots).subspan(
+        static_cast<std::size_t>(q) * rows, rows);
+  };
   if (metric == DigitMetric::kDot) {
     for (int q = 0; q < count; ++q)
-      out.push_back(topk_from_dots(
-          std::span<const std::int64_t>(dots).subspan(
-              static_cast<std::size_t>(q) * rows, rows),
-          k));
+      out.push_back(select_topk_dots(column(q), k));
     return out;
   }
   // kCosine: stored-row norms are tile-invariant — compute them once per
   // call, not once per query.
-  std::vector<std::int64_t> row_sq(rows);
-  for (int r = 0; r < matrix.rows(); ++r)
-    row_sq[static_cast<std::size_t>(r)] = packed_norm_sq(
-        matrix.row_words(r), matrix.bits_per_digit(), matrix.tail_mask());
+  const auto row_sq = row_norms_sq(matrix);
   for (int q = 0; q < count; ++q) {
     const std::int64_t query_sq =
         packed_norm_sq(queries.row_words(first + q), matrix.bits_per_digit(),
                        matrix.tail_mask());
-    out.push_back(topk_from_cosine(
-        std::span<const std::int64_t>(dots).subspan(
-            static_cast<std::size_t>(q) * rows, rows),
-        row_sq, query_sq, k));
+    out.push_back(select_topk_cosine(column(q), row_sq, query_sq, k));
   }
   return out;
 }

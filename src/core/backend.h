@@ -29,10 +29,12 @@
 //    mismatch fraction; similarity backends are always costed at 0.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -95,9 +97,9 @@ struct TopKEntry {
 };
 
 // The deterministic total order on hits: score in the metric's direction,
-// then lower row index.  This is THE comparator — every backend's
-// partial_sort and the runtime's cross-shard merge call it, never a raw
-// score compare.
+// then lower row index.  This is THE order — every backend's top-k select
+// (select_topk_counting, select_topk_heap) returns its hits in it, and the
+// runtime's cross-shard merge sorts by it, never by a raw score compare.
 constexpr bool score_before(const TopKEntry& a, const TopKEntry& b,
                             ScoreOrder order) {
   if (a.score != b.score) {
@@ -127,6 +129,60 @@ struct BackendTopK {
   double energy = 0.0;
   double mean_score = 0.0;
 };
+
+// --- exact top-k select -----------------------------------------------------
+// Every built-in backend's scan ends in one of these two selects, on its
+// single-query and tiled paths alike.  Both return exactly the min(k, rows)
+// hits a full sort under ScoreComparator would put first, plus mean_score
+// over ALL rows, without ever building an entry per stored row.  Both throw
+// std::invalid_argument on k < 1.
+
+// Counting select for bounded integer scores in [0, max_score], ascending:
+// mismatch counts and the behavioral TDC code (max_score = stages), L1
+// distances (stages·(levels−1)).  Pass 1 counts the scores into
+// max_score + 1 bins and sums them as an integer (mean_score = sum / rows).
+// The threshold t is the smallest score whose cumulative count reaches
+// min(k, rows).  Pass 2 walks the rows in index order and keeps every row
+// scoring below t plus the first rows scoring t, placing each at the next
+// slot of its score's bin — rows arrive in index order, so the result is
+// already in (score, row) order with no comparator sort.  Throws
+// std::invalid_argument on a score outside [0, max_score].
+BackendTopK select_topk_counting(std::span<const std::int32_t> scores,
+                                 int max_score, int k);
+
+// Bounded-heap select for real-valued scores (dot, cosine) in either order.
+// `score(r)` is called once per row r in [0, rows), in index order, and
+// summed in that order as a double for mean_score.  The heap holds at most
+// k entries under ScoreComparator, so its top is the worst kept hit; a row
+// enters only if its score beats that hit's (on a tie the kept row has the
+// lower index and wins).  sort_heap yields the final order.
+template <typename ScoreFn>
+BackendTopK select_topk_heap(int rows, int k, ScoreOrder order,
+                             ScoreFn&& score) {
+  if (k < 1) throw std::invalid_argument("select_topk_heap: k must be >= 1");
+  BackendTopK out;
+  const auto keep = static_cast<std::size_t>(std::min(k, std::max(rows, 0)));
+  const ScoreComparator before{order};
+  const bool ascending = order == ScoreOrder::kAscending;
+  auto& heap = out.entries;
+  heap.reserve(keep);
+  double sum = 0.0;
+  for (int r = 0; r < rows; ++r) {
+    const double s = score(r);
+    sum += s;
+    if (heap.size() < keep) {
+      heap.push_back({r, s});
+      std::push_heap(heap.begin(), heap.end(), before);
+    } else if (ascending ? s < heap.front().score : s > heap.front().score) {
+      std::pop_heap(heap.begin(), heap.end(), before);
+      heap.back() = {r, s};
+      std::push_heap(heap.begin(), heap.end(), before);
+    }
+  }
+  if (rows > 0) out.mean_score = sum / static_cast<double>(rows);
+  std::sort_heap(heap.begin(), heap.end(), before);
+  return out;
+}
 
 // Modeled cost of one query over the stored set on the backend's physical
 // array (folded into `passes` sequential array passes when the set exceeds
@@ -245,6 +301,13 @@ inline double cosine_score(std::int64_t dot, std::int64_t a_norm_sq,
 // cosine_score.  `bits`/`tail_mask` come from the owning DigitMatrix.
 std::int64_t packed_norm_sq(std::span<const std::uint32_t> words, int bits,
                             std::uint32_t tail_mask);
+
+// The cosine finalizer over one query's dot-product column, shared by the
+// exhaustive scans and CosineBackend: select_topk_heap, descending, scoring
+// row r as cosine_score(dots[r], row_sq[r], query_sq).
+BackendTopK select_topk_cosine(std::span<const std::int64_t> dots,
+                               std::span<const std::int64_t> row_sq,
+                               std::int64_t query_sq, int k);
 
 // Shared brute-force scan for exact backends: scores from `matrix` under
 // `metric`, deterministic (score, row) order in the metric's direction,

@@ -1,6 +1,5 @@
 #include "core/cosine_backend.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -54,30 +53,6 @@ BackendTopK CosineBackend::search_topk(std::span<const int> query,
   return search_topk_packed(matrix_.pack(query), k);
 }
 
-BackendTopK CosineBackend::topk_from_dots(std::span<const std::int64_t> dots,
-                                          std::int64_t query_sq,
-                                          int k) const {
-  BackendTopK out;
-  const int rows = static_cast<int>(dots.size());
-  out.entries.reserve(dots.size());
-  double sum = 0.0;
-  for (int r = 0; r < rows; ++r) {
-    const auto i = static_cast<std::size_t>(r);
-    const double score = cosine_score(dots[i], norms_sq_[i], query_sq);
-    out.entries.push_back({r, score});
-    sum += score;
-  }
-  if (rows > 0) out.mean_score = sum / static_cast<double>(rows);
-  const auto keep = std::min<std::size_t>(static_cast<std::size_t>(k),
-                                          out.entries.size());
-  std::partial_sort(out.entries.begin(),
-                    out.entries.begin() + static_cast<std::ptrdiff_t>(keep),
-                    out.entries.end(),
-                    ScoreComparator{ScoreOrder::kDescending});
-  out.entries.resize(keep);
-  return out;
-}
-
 BackendTopK CosineBackend::search_topk_packed(
     std::span<const std::uint32_t> packed, int k) const {
   if (k < 1)
@@ -88,7 +63,7 @@ BackendTopK CosineBackend::search_topk_packed(
   kernels::dot_product_batch(matrix_, packed, dots);
   const std::int64_t query_sq =
       packed_norm_sq(packed, matrix_.bits_per_digit(), matrix_.tail_mask());
-  return topk_from_dots(dots, query_sq, k);
+  return select_topk_cosine(dots, norms_sq_, query_sq, k);
 }
 
 std::vector<BackendTopK> CosineBackend::search_topk_packed_batch(
@@ -106,10 +81,10 @@ std::vector<BackendTopK> CosineBackend::search_topk_packed_batch(
     const std::int64_t query_sq =
         packed_norm_sq(queries.row_words(first + q), matrix_.bits_per_digit(),
                        matrix_.tail_mask());
-    out.push_back(topk_from_dots(
+    out.push_back(select_topk_cosine(
         std::span<const std::int64_t>(dots).subspan(
             static_cast<std::size_t>(q) * rows, rows),
-        query_sq, k));
+        norms_sq_, query_sq, k));
   }
   return out;
 }

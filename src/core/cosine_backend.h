@@ -78,11 +78,6 @@ class CosineBackend final : public SimilarityBackend {
   std::size_t resident_bytes() const override;
 
  private:
-  // (dots, query norm) -> sorted top-k against the cached row norms; the
-  // single shared finalizer of both packed paths.
-  BackendTopK topk_from_dots(std::span<const std::int64_t> dots,
-                             std::int64_t query_sq, int k) const;
-
   DigitMatrix matrix_;
   std::vector<std::int64_t> norms_sq_;  // one squared norm per stored row
   SimilarityArrayModel model_;

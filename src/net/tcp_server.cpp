@@ -88,10 +88,13 @@ struct AmTcpServer::Impl {
   // span here: the io_send stamp only exists once the frame's last byte
   // reaches the kernel, so the span is finished — and recorded — at that
   // moment, by the I/O thread.  Frames dropped by a dying connection lose
-  // their span (the client never saw the reply either).
+  // their span (the client never saw the reply either).  `close_after`
+  // marks a connection's final reply: the I/O thread hangs up once this
+  // frame's last byte is out, and drops whatever was queued behind it.
   struct OutFrame {
     std::vector<std::uint8_t> bytes;
     bool has_span = false;
+    bool close_after = false;
     obs::SpanRecord span;
   };
 
@@ -103,13 +106,16 @@ struct AmTcpServer::Impl {
     std::vector<std::uint8_t> in;
     std::size_t in_consumed = 0;
     std::size_t discard_remaining = 0;  // oversized payload being skipped
-    int protocol_errors = 0;            // connection-scoped error counter
-    bool closing = false;               // hang up once the outbox flushes
+    bool closing = false;  // final reply queued: read no further frames
     bool want_write = false;            // EPOLLOUT currently armed
 
     // Write side — producers are the submit/completion/I-O threads.
     std::mutex out_mutex;
     std::deque<OutFrame> outbox;
+    // ERROR replies queued so far, counted under out_mutex with the push
+    // of each one, so the frame that exhausts the budget is the one marked
+    // close_after, whichever thread sent it.
+    int protocol_errors = 0;
     std::size_t out_front_off = 0;      // bytes of outbox.front() written
     std::atomic<std::size_t> out_bytes{0};
     std::atomic<bool> closed{false};
@@ -342,14 +348,21 @@ struct AmTcpServer::Impl {
     send_out_frame(conn, std::move(frame));
   }
 
-  void send_out_frame(const std::shared_ptr<Connection>& conn,
-                      OutFrame frame) {
-    if (conn->closed.load(std::memory_order_acquire)) return;
-    {
+  // `error` counts the frame against the connection's error budget and
+  // marks it close_after when it exhausts the budget.  Returns whether the
+  // connection ends with this frame (also true when it is already closed).
+  bool send_out_frame(const std::shared_ptr<Connection>& conn, OutFrame frame,
+                      bool error = false) {
+    if (conn->closed.load(std::memory_order_acquire)) return true;
+    const bool last = [&] {
       std::lock_guard<std::mutex> lock(conn->out_mutex);
+      if (error && ++conn->protocol_errors >= opts.max_protocol_errors)
+        frame.close_after = true;
+      const bool close_after = frame.close_after;
       conn->out_bytes.fetch_add(frame.bytes.size(), std::memory_order_relaxed);
       conn->outbox.push_back(std::move(frame));
-    }
+      return close_after;
+    }();
     frames_out->add(1.0);
     IoThread& t = *conn->io;
     {
@@ -357,23 +370,27 @@ struct AmTcpServer::Impl {
       t.inbox_kick.push_back(conn);
     }
     wake(t);
+    return last;
   }
 
-  // ERROR reply + counters; the caller decides whether the stream can
-  // continue (kMalformedFrame payloads can; a lost frame boundary cannot).
-  void protocol_error(const std::shared_ptr<Connection>& conn,
+  // ERROR reply + counters, safe from any thread.  Returns true when this
+  // reply is the connection's last (its error budget is spent, or `fatal`:
+  // a lost frame boundary, after which the stream cannot continue); the I/O
+  // thread then stops reading it, and hangs up once the reply is flushed.
+  bool protocol_error(const std::shared_ptr<Connection>& conn,
                       std::uint64_t request_id, WireCode code,
                       const std::string& message,
-                      std::uint8_t version = kProtocolVersion) {
+                      std::uint8_t version = kProtocolVersion,
+                      bool fatal = false) {
     protocol_errors_total->add(1.0);
     if (const auto it =
             protocol_errors_by_code.find(static_cast<std::uint8_t>(code));
         it != protocol_errors_by_code.end())
       it->second->add(1.0);
-    ++conn->protocol_errors;
-    if (conn->protocol_errors >= opts.max_protocol_errors)
-      conn->closing = true;  // hang up once this final reply flushes
-    send_frame(conn, encode_error(request_id, {code, message}, version));
+    OutFrame frame;
+    frame.bytes = encode_error(request_id, {code, message}, version);
+    frame.close_after = fatal;
+    return send_out_frame(conn, std::move(frame), /*error=*/true);
   }
 
   // --- I/O loop -----------------------------------------------------------
@@ -560,17 +577,19 @@ struct AmTcpServer::Impl {
       } catch (const ProtocolError& e) {
         // Framing itself is lost (bad magic / bad version): answer, then
         // hang up — there is no way to find the next frame boundary.
-        protocol_error(conn, 0, e.code, e.what());
+        protocol_error(conn, 0, e.code, e.what(), kProtocolVersion,
+                       /*fatal=*/true);
         conn->closing = true;
         update_interest(t, *conn, false);
         return;
       }
       if (header.payload_len >
           static_cast<std::uint32_t>(opts.max_frame_bytes)) {
-        protocol_error(conn, header.request_id, WireCode::kOversizedFrame,
-                       "payload of " + std::to_string(header.payload_len) +
-                           " bytes exceeds the server cap of " +
-                           std::to_string(opts.max_frame_bytes));
+        conn->closing = protocol_error(
+            conn, header.request_id, WireCode::kOversizedFrame,
+            "payload of " + std::to_string(header.payload_len) +
+                " bytes exceeds the server cap of " +
+                std::to_string(opts.max_frame_bytes));
         conn->in_consumed += kHeaderBytes;
         conn->discard_remaining = header.payload_len;
         if (conn->closing) {  // error budget exhausted
@@ -649,13 +668,15 @@ struct AmTcpServer::Impl {
                   std::to_string(static_cast<int>(header.type)));
       }
     } catch (const ProtocolError& e) {
-      protocol_error(conn, header.request_id, e.code, e.what(),
-                     header.version);
-      return;  // connection survives a bad payload
+      // The connection survives a bad payload, until its budget is spent.
+      conn->closing = protocol_error(conn, header.request_id, e.code,
+                                     e.what(), header.version);
+      return;
     }
     if (!requests.push(std::move(request)))
-      protocol_error(conn, header.request_id, WireCode::kRejected,
-                     "server shutting down", header.version);
+      conn->closing = protocol_error(conn, header.request_id,
+                                     WireCode::kRejected,
+                                     "server shutting down", header.version);
   }
 
   void handle_write(IoThread& t, const std::shared_ptr<Connection>& conn) {
@@ -688,15 +709,15 @@ struct AmTcpServer::Impl {
         am.recorder().record(span);
         am.slow_log().maybe_capture(span);
       }
+      if (front.close_after) {  // the final reply is out: hang up
+        close_conn(t, conn);
+        return;
+      }
       conn->outbox.pop_front();
       conn->out_front_off = 0;
     }
-    // Flushed: drop write interest; a connection marked closing is done.
+    // Flushed: drop write interest.
     conn->want_write = false;
-    if (conn->closing) {
-      close_conn(t, conn);
-      return;
-    }
     update_interest(t, *conn, !stopping.load(std::memory_order_relaxed));
   }
 

@@ -39,17 +39,33 @@ class ThreadPool {
   template <typename Fn>
   auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn&>> {
     using Result = std::invoke_result_t<Fn&>;
-    auto task = std::packaged_task<Result()>(std::forward<Fn>(fn));
+    // The task counts itself on the way out of its own body — after `fn`
+    // returns or throws, before packaged_task makes the future ready — so a
+    // caller that waited on every future reads the full completed() count.
+    auto task = std::packaged_task<Result()>(
+        [this, f = std::forward<Fn>(fn)]() mutable -> Result {
+          const CountOnExit count{*this};
+          return f();
+        });
     auto future = task.get_future();
     enqueue(std::packaged_task<void()>(
         [t = std::move(task)]() mutable { t(); }));
     return future;
   }
 
-  // Number of tasks executed since construction (for tests/metrics).
+  // Number of tasks executed since construction (for tests/metrics); every
+  // task whose future is ready is counted.
   std::size_t completed() const;
 
  private:
+  struct CountOnExit {
+    ThreadPool& pool;
+    ~CountOnExit() {
+      std::lock_guard<std::mutex> lock(pool.mutex_);
+      ++pool.completed_;
+    }
+  };
+
   void enqueue(std::packaged_task<void()> task);
   void worker_loop();
 

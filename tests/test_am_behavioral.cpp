@@ -76,7 +76,7 @@ TEST(BehavioralAm, TopKMatchesFullSort) {
                    static_cast<double>(hamming(stored[r], q))});
   std::sort(ref.begin(), ref.end(),
             core::ScoreComparator{core::ScoreOrder::kAscending});
-  for (int k : {1, 5, 20}) {
+  for (int k : {1, 5, 19, 20}) {
     const auto res = am.search_topk(q, k);
     ASSERT_EQ(res.entries.size(), static_cast<std::size_t>(k));
     for (int i = 0; i < k; ++i)
@@ -112,6 +112,80 @@ TEST(BehavioralAm, TopKCostsMatchFullSearch) {
   for (int d : full.distances) sum += d;
   EXPECT_DOUBLE_EQ(topk.mean_score,
                    sum / static_cast<double>(full.distances.size()));
+}
+
+// Checks search_topk (and search's costs) for `q` bit for bit against the
+// calibrated model evaluated row by row: TDC code entries in (code, row)
+// order, the integer mean, the slowest chain's delay and the row-order
+// energy sum.
+void expect_matches_per_row_model(const BehavioralAm& am,
+                                  const std::vector<std::vector<int>>& stored,
+                                  const std::vector<int>& q) {
+  const auto& cal = am.calibration();
+  const int stages = am.stages();
+  const TimeDigitalConverter tdc(cal.predict_delay(stages, 0), cal.d_c,
+                                 stages);
+  std::vector<TopKEntry> ref;
+  double latency = 0.0, energy = 0.0;
+  long sum = 0;
+  for (std::size_t r = 0; r < stored.size(); ++r) {
+    const int mis = hamming(stored[r], q);
+    const double delay = cal.predict_delay(stages, mis);
+    const int code = tdc.convert(delay);
+    ref.push_back({static_cast<int>(r), static_cast<double>(code)});
+    sum += code;
+    latency = std::max(latency, delay);
+    energy += cal.predict_energy(stages, mis);
+  }
+  std::sort(ref.begin(), ref.end(),
+            core::ScoreComparator{core::ScoreOrder::kAscending});
+  const int rows = static_cast<int>(stored.size());
+  for (int k : {1, 10, rows - 1, rows, rows + 7}) {
+    if (k < 1) continue;
+    const auto res = am.search_topk(q, k);
+    const std::vector<TopKEntry> want(
+        ref.begin(), ref.begin() + std::min<std::ptrdiff_t>(k, rows));
+    EXPECT_EQ(res.entries, want) << "k=" << k;
+    EXPECT_EQ(res.mean_score,
+              static_cast<double>(sum) / static_cast<double>(rows));
+    EXPECT_EQ(res.latency, latency);
+    EXPECT_EQ(res.energy, energy);
+  }
+  const auto full = am.search(q);
+  EXPECT_EQ(full.latency, latency);
+  EXPECT_EQ(full.energy, energy);
+}
+
+TEST(BehavioralAm, TopKBitIdenticalToPerRowModel) {
+  constexpr int kStages = 37, kLevels = 4, kRows = 150;
+  Rng rng(42);
+  const auto base = random_word(rng, kStages, kLevels);
+  const auto opposite = word_with_mismatches(base, kStages, kLevels);
+
+  // Every mismatch count from 0 to kStages occurs, plus random rows.
+  BehavioralAm mixed(calibration(), kStages);
+  std::vector<std::vector<int>> stored;
+  for (int r = 0; r < kRows; ++r) {
+    stored.push_back(r <= kStages ? word_with_mismatches(base, r, kLevels)
+                                  : random_word(rng, kStages, kLevels));
+    mixed.store(stored.back());
+  }
+  expect_matches_per_row_model(mixed, stored, base);
+  expect_matches_per_row_model(mixed, stored, opposite);
+  for (int i = 0; i < 3; ++i)
+    expect_matches_per_row_model(mixed, stored,
+                                 random_word(rng, kStages, kLevels));
+
+  // Identical rows: `base` matches every row in every digit (all codes 0),
+  // `opposite` mismatches every digit of every row (all codes kStages).
+  BehavioralAm uniform(calibration(), kStages);
+  const std::vector<std::vector<int>> copies(kRows, base);
+  for (const auto& row : copies) uniform.store(row);
+  expect_matches_per_row_model(uniform, copies, base);
+  expect_matches_per_row_model(uniform, copies, opposite);
+  EXPECT_EQ(uniform.search_topk(base, 3).entries.back(), (TopKEntry{2, 0.0}));
+  EXPECT_EQ(uniform.search_topk(opposite, 3).entries.back(),
+            (TopKEntry{2, static_cast<double>(kStages)}));
 }
 
 TEST(BehavioralAm, TopKOversizedKAndValidation) {

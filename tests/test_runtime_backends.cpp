@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -69,7 +70,7 @@ TEST(RuntimeDefaultRegistry, RegistersTheSixBuiltins) {
 // rank by a different metric, so they are covered by their own
 // brute-force-reference tests instead.
 TEST(RuntimeBackendParity, IdenticalTopKAcrossAllRegisteredBackends) {
-  constexpr int kStages = 48, kRows = 120, kQueries = 24, kTopK = 7;
+  constexpr int kStages = 48, kRows = 120, kQueries = 24;
   const auto reg = runtime::default_registry(calibration(), {.stages = kStages});
 
   Rng rng(101);
@@ -79,23 +80,29 @@ TEST(RuntimeBackendParity, IdenticalTopKAcrossAllRegisteredBackends) {
   for (int q = 0; q < kQueries; ++q)
     queries.push_back(am::random_word(rng, kStages, kLevels));
 
-  std::map<std::string, std::vector<runtime::TopKResult>> results;
-  for (const auto& name : reg.names()) {
-    if (!core::metric_is_mismatch_family(reg.create(name)->metric()))
-      continue;
-    runtime::ShardedIndex index(reg, {.backend = name, .shards = 3});
-    for (const auto& row : stored) index.store(row);
-    runtime::SearchEngine engine(index, {.threads = 2});
-    results[name] = engine.submit_batch(queries, kTopK);
-  }
+  // k = kRows + 7 exceeds every shard's row count.
+  for (const int k : {1, 7, kRows, kRows + 7}) {
+    std::map<std::string, std::vector<runtime::TopKResult>> results;
+    for (const auto& name : reg.names()) {
+      if (!core::metric_is_mismatch_family(reg.create(name)->metric()))
+        continue;
+      runtime::ShardedIndex index(reg, {.backend = name, .shards = 3});
+      for (const auto& row : stored) index.store(row);
+      runtime::SearchEngine engine(index, {.threads = 2});
+      results[name] = engine.submit_batch(queries, k);
+    }
 
-  ASSERT_EQ(results.size(), 4u);  // behavioral, cam, digital, exact
-  const auto& reference = results.at("exact");
-  for (const auto& [name, res] : results) {
-    ASSERT_EQ(res.size(), reference.size()) << name;
-    for (std::size_t q = 0; q < res.size(); ++q)
-      EXPECT_EQ(res[q].entries, reference[q].entries)
-          << "backend=" << name << " query=" << q;
+    ASSERT_EQ(results.size(), 4u);  // behavioral, cam, digital, exact
+    const auto& reference = results.at("exact");
+    for (const auto& [name, res] : results) {
+      ASSERT_EQ(res.size(), reference.size()) << name;
+      for (std::size_t q = 0; q < res.size(); ++q) {
+        EXPECT_EQ(res[q].entries.size(),
+                  static_cast<std::size_t>(std::min(k, kRows)));
+        EXPECT_EQ(res[q].entries, reference[q].entries)
+            << "backend=" << name << " k=" << k << " query=" << q;
+      }
+    }
   }
 }
 
